@@ -21,8 +21,6 @@
 
 pub mod baselines;
 pub mod cache;
-pub mod concurrent;
-pub mod manager;
 pub mod metrics;
 pub mod persist;
 pub mod policy;
@@ -84,9 +82,9 @@ pub trait OnlinePqo {
     fn max_plans_cached(&self) -> usize;
 }
 
-/// Shared test fixtures: the template shapes that the scr / manager /
-/// concurrent / persist / service tests all exercise, built once here
-/// instead of per-module copies.
+/// Shared test fixtures: the template shapes that the scr / snapshot /
+/// persist / service tests all exercise, built once here instead of
+/// per-module copies.
 #[cfg(test)]
 pub(crate) mod testutil {
     use std::sync::Arc;

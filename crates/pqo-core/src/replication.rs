@@ -525,6 +525,7 @@ fn apply_delta_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scr::GetPlanScratch;
     use crate::snapshot::{CacheWriter, SnapshotCell};
     use crate::testutil::fixture_template;
     use pqo_optimizer::engine::QueryEngine;
@@ -541,7 +542,10 @@ mod tests {
     ) -> bool {
         let inst = instance_for_target(t, target);
         let sv = compute_svector(t, &inst);
-        if cell.load().try_cached_plan(&sv, engine).is_some() {
+        let hit = cell
+            .load()
+            .try_cached_plan_with(&sv, engine, &mut GetPlanScratch::new());
+        if hit.is_some() {
             return false;
         }
         let opt = engine.optimize(&sv);
@@ -648,8 +652,8 @@ mod tests {
         for tg in targets(80) {
             let inst = instance_for_target(&t, &tg);
             let sv = compute_svector(&t, &inst);
-            let a = p.try_cached_plan(&sv, &engine);
-            let b = r.try_cached_plan(&sv, &r_engine);
+            let a = p.try_cached_plan_with(&sv, &engine, &mut GetPlanScratch::new());
+            let b = r.try_cached_plan_with(&sv, &r_engine, &mut GetPlanScratch::new());
             match (a, b) {
                 (None, None) => {}
                 (Some(x), Some(y)) => {

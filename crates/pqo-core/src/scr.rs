@@ -440,7 +440,7 @@ pub struct Scr {
 /// the plan cache, the stat cells and the dynamic-λ accumulators.
 ///
 /// Both [`Scr::try_cached_plan`] (sequential / lock-guarded callers) and
-/// [`crate::snapshot::CacheSnapshot::try_cached_plan`] (the published
+/// [`crate::snapshot::CacheSnapshot::try_cached_plan_with`] (the published
 /// lock-free read path) build one of these and run the *same* code, so the
 /// snapshot reader's reuse/optimize decisions are byte-identical to the
 /// sequential technique's by construction.
@@ -715,9 +715,8 @@ impl Scr {
     }
 
     /// Evict one plan (and its instance entries) from the cache — used by
-    /// the global budget of [`crate::manager::PqoManager`] and
-    /// [`crate::service::PqoService`]. Safe for the guarantee: inference
-    /// entries leave with the plan (Section 6.3.1).
+    /// the global budget of [`crate::service::PqoService`]. Safe for the
+    /// guarantee: inference entries leave with the plan (Section 6.3.1).
     pub fn evict_plan(&mut self, fp: PlanFingerprint) {
         self.cache.drop_plan(fp);
         ScrStatCells::bump(&self.stats.budget_evictions);
@@ -826,11 +825,10 @@ impl Scr {
 
     /// The cache-only part of `getPlan`: selectivity check then cost check,
     /// never an optimizer call, never a structural cache mutation — `&self`,
-    /// so concurrent servers share it ([`crate::concurrent::AsyncScr`],
-    /// [`crate::service::PqoService`] run the identical code through a
-    /// published [`crate::snapshot::CacheSnapshot`]). Allocates a fresh
-    /// scratch per call; hot callers should prefer
-    /// [`Scr::try_cached_plan_with`].
+    /// so concurrent servers share it ([`crate::service::PqoService`] runs
+    /// the identical code through a published
+    /// [`crate::snapshot::CacheSnapshot`]). Allocates a fresh scratch per
+    /// call; hot callers should prefer [`Scr::try_cached_plan_with`].
     pub fn try_cached_plan(&self, sv: &SVector, engine: &QueryEngine) -> Option<PlanChoice> {
         self.read_view()
             .try_cached_plan(sv, engine, &mut GetPlanScratch::default())
@@ -851,8 +849,9 @@ impl Scr {
 
     /// Record a fresh optimization in the cache (`manageCache`), including
     /// the optimizer-call bookkeeping — the only path that mutates cache
-    /// structure. Runs on a worker thread ([`crate::concurrent::AsyncScr`])
-    /// or under the service's write lock (Section 4.1). The shared
+    /// structure. The service runs it synchronously under the shard's
+    /// writer lock (DESIGN.md §9 records why Section 4.1's background
+    /// `manageCache` is not reproduced). The shared
     /// pre-amble (optimizer-call tally, dynamic-λ accumulators) runs for
     /// every policy; the structural admission dispatches to the active
     /// policy's admit hook.
@@ -904,7 +903,10 @@ impl Scr {
 
         // Redundancy check: is some cached plan λr-close to optimal at qc?
         // One prepared linear pass per plan; the base derivation in
-        // `scratch` is shared by every plan (same sVector).
+        // `scratch` is shared by every plan (same sVector). Cost ties break
+        // on the smaller fingerprint: the plan map's iteration order is
+        // per-process, so without the tie-break two processes replaying the
+        // same stream could file the instance under different plans.
         if self.config.lambda_r > 0.0 && self.cache.num_plans() > 0 {
             let t0 = Instant::now();
             let (min_fp, min_cost) = self
@@ -914,7 +916,7 @@ impl Scr {
                     let cost = engine.recost_prepared(c.prepared(engine), sv, &mut scratch.recost);
                     (c.fingerprint(), cost)
                 })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .expect("non-empty plan list");
             ScrStatCells::add(&self.stats.recost_nanos, t0.elapsed().as_nanos() as u64);
             let s_min = (min_cost / opt.cost).max(1.0);
@@ -1387,5 +1389,52 @@ mod tests {
             let _ = run_point(&mut scr, &engine, &[(0.03 * i as f64).min(1.0), 0.5]);
         }
         assert!(scr.stats().max_recosts_per_getplan <= 3);
+    }
+
+    #[test]
+    fn redundancy_check_breaks_cost_ties_on_fingerprint() {
+        use pqo_optimizer::plan::{Plan, PlanNode, PlanOp};
+        let t = fixture();
+        let engine = QueryEngine::new(Arc::clone(&t));
+        let scan = |r| PlanNode::leaf(PlanOp::SeqScan { relation: r });
+        // A merge join's cost is symmetric in its inputs, so the two input
+        // orders are distinct plans with bit-identical cost everywhere.
+        let merge = |l, r| {
+            Arc::new(Plan::new(PlanNode::internal(
+                PlanOp::MergeJoin {
+                    merge_edge: 0,
+                    edges: vec![0],
+                },
+                vec![scan(l), scan(r)],
+            )))
+        };
+        let (a, b) = (merge(0, 1), merge(1, 0));
+        // The fresh optimization: any plan not yet cached.
+        let fresh = Arc::new(Plan::new(scan(0)));
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let expected = a.fingerprint().min(b.fingerprint());
+
+        let sv = compute_svector(&t, &instance_for_target(&t, &[0.3, 0.4]));
+        let tie = engine.recost_untracked(&a, &sv);
+        assert_eq!(tie.to_bits(), engine.recost_untracked(&b, &sv).to_bits());
+
+        // Fresh caches get fresh hash seeds, so both iteration orders show up.
+        for k in 0..32 {
+            let plans = if k % 2 == 0 {
+                vec![Arc::clone(&a), Arc::clone(&b)]
+            } else {
+                vec![Arc::clone(&b), Arc::clone(&a)]
+            };
+            let mut scr =
+                Scr::from_parts(ScrConfig::new(2.0).unwrap(), plans, Vec::new(), 0.0, 0).unwrap();
+            let opt = OptimizedPlan {
+                plan: Arc::clone(&fresh),
+                cost: tie,
+            };
+            scr.manage_cache_entry(&sv, opt, &engine);
+            assert_eq!(scr.stats().redundant_plans_discarded, 1);
+            let filed = scr.cache().instances().last().expect("instance filed").plan;
+            assert_eq!(filed, expected, "cache {k} filed the tie under {filed}");
+        }
     }
 }

@@ -1,10 +1,7 @@
-//! The concurrent serving layer: [`PqoService`].
-//!
-//! [`crate::manager::PqoManager`] is the single-threaded deployment surface;
-//! `PqoService` is its thread-safe replacement, realizing the paper's
-//! Figure 2 split at scale: `getPlan` stays on each caller's critical path
-//! while cache maintenance serializes per template, and N threads serve
-//! concurrently.
+//! The serving layer: [`PqoService`], the one front door every server, CLI
+//! and bench path goes through. It realizes the paper's Figure 2 split at
+//! scale: `getPlan` stays on each caller's critical path while cache
+//! maintenance serializes per template, and N threads serve concurrently.
 //!
 //! # Snapshot-published read path
 //!
@@ -14,8 +11,8 @@
 //! * **Shard** — one per template: a shared [`QueryEngine`] (interior-
 //!   mutable, no lock needed), a [`SnapshotCell`] holding the published
 //!   [`CacheSnapshot`] generation, and a `Mutex<CacheWriter>`. The SCR
-//!   read path ([`CacheSnapshot::try_cached_plan`]) runs against a loaded
-//!   generation with **no lock held** — cache hits on the same template
+//!   read path ([`CacheSnapshot::try_cached_plan_with`]) runs against a
+//!   loaded generation with **no lock held** — cache hits on the same template
 //!   never wait for `manageCache`, not even while a writer holds the
 //!   writer mutex. Only confirmed misses (after the optimizer call, which
 //!   also runs lock-free) enter the writer, which commits the mutation and
@@ -32,12 +29,12 @@
 //!
 //! # Global budget
 //!
-//! Like the manager, the service can cap the total number of plans across
-//! templates. The running total is an `AtomicUsize` adjusted by the exact
-//! cache delta under each shard's writer lock — checking the budget is
-//! O(1), and each eviction scans the registry once (O(templates), over
-//! published snapshots) to find the global LFU victim instead of
-//! re-counting every cache. In debug builds every eviction point
+//! The service can cap the total number of plans across templates. The
+//! running total is an `AtomicUsize` adjusted by the exact cache delta
+//! under each shard's writer lock — checking the budget is O(1), and each
+//! eviction scans the registry once (O(templates), over published
+//! snapshots) to find the global LFU victim instead of re-counting every
+//! cache. In debug builds every eviction point
 //! reconciles the running total against a full recount taken with all
 //! writer locks held (every structural change *and* its accounting happen
 //! under a writer lock, so the total is stable at that point).
@@ -48,7 +45,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use pqo_optimizer::engine::{EngineStats, OptimizedPlan, QueryEngine};
+use pqo_optimizer::engine::QueryEngine;
 use pqo_optimizer::error::PqoError;
 use pqo_optimizer::plan::PlanFingerprint;
 use pqo_optimizer::svector::SVector;
@@ -84,7 +81,7 @@ impl Shard {
     fn try_cached_plan(&self, snapshot: &CacheSnapshot, sv: &SVector) -> Option<PlanChoice> {
         match self.scratch.try_lock() {
             Ok(mut scratch) => snapshot.try_cached_plan_with(sv, &self.engine, &mut scratch),
-            Err(_) => snapshot.try_cached_plan(sv, &self.engine),
+            Err(_) => snapshot.try_cached_plan_with(sv, &self.engine, &mut GetPlanScratch::new()),
         }
     }
 }
@@ -302,20 +299,7 @@ impl PqoService {
         if let Some(choice) = shard.try_cached_plan(&snapshot, &sv) {
             return Ok((choice, snapshot.generation()));
         }
-
-        // Miss: the optimizer call happens with no lock held.
-        let t0 = Instant::now();
-        let opt = shard.engine.optimize(&sv);
-        let opt_nanos = t0.elapsed().as_nanos() as u64;
-        let plan = Arc::clone(&opt.plan);
-        let generation = self.commit(&shard, &sv, opt, opt_nanos);
-        Ok((
-            PlanChoice {
-                plan,
-                optimized: true,
-            },
-            generation,
-        ))
+        Ok(self.optimize_and_commit(&shard, &sv))
     }
 
     /// The cache-only serving path (selectivity check + cost check against
@@ -383,28 +367,24 @@ impl PqoService {
                 out.push(choice);
                 continue;
             }
-            let t0 = Instant::now();
-            let opt = shard.engine.optimize(sv);
-            let opt_nanos = t0.elapsed().as_nanos() as u64;
-            let plan = Arc::clone(&opt.plan);
-            self.commit(&shard, sv, opt, opt_nanos);
+            out.push(self.optimize_and_commit(&shard, sv).0);
             snapshot = shard.published.load();
             snapshot.record_snapshot_reload();
-            out.push(PlanChoice {
-                plan,
-                optimized: true,
-            });
         }
         Ok((out, snapshot.generation()))
     }
 
-    /// Commit a fresh optimization: `manageCache` + publication under the
-    /// shard's writer lock, exact-delta accounting under the same lock,
-    /// then global-budget enforcement. `opt_nanos` is the wall time the
-    /// caller spent inside the (lock-free) optimizer call, attributed to
-    /// the technique's overhead split. Returns the generation the commit
-    /// published.
-    fn commit(&self, shard: &Shard, sv: &SVector, opt: OptimizedPlan, opt_nanos: u64) -> u64 {
+    /// The miss path: optimize with no lock held, then commit
+    /// `manageCache` + publication under the shard's writer lock,
+    /// exact-delta accounting under the same lock, then global-budget
+    /// enforcement. The optimizer's wall time is attributed to the
+    /// technique's overhead split. Returns the optimized choice and the
+    /// generation the commit published.
+    fn optimize_and_commit(&self, shard: &Shard, sv: &SVector) -> (PlanChoice, u64) {
+        let t0 = Instant::now();
+        let opt = shard.engine.optimize(sv);
+        let opt_nanos = t0.elapsed().as_nanos() as u64;
+        let plan = Arc::clone(&opt.plan);
         let generation = {
             let mut writer = shard.writer();
             writer.scr().record_optimize_nanos(opt_nanos);
@@ -414,7 +394,11 @@ impl PqoService {
             writer.generation()
         };
         self.enforce_global_budget();
-        generation
+        let choice = PlanChoice {
+            plan,
+            optimized: true,
+        };
+        (choice, generation)
     }
 
     fn apply_delta(&self, before: usize, after: usize) {
@@ -606,14 +590,6 @@ impl PqoService {
         Ok(self.shard(template)?.published.load().stats())
     }
 
-    /// Snapshot of one template's engine counters.
-    ///
-    /// # Errors
-    /// [`PqoError::UnknownTemplate`].
-    pub fn engine_stats(&self, template: &str) -> Result<EngineStats, PqoError> {
-        Ok(self.shard(template)?.engine.stats())
-    }
-
     /// Run a closure against one template's canonical SCR state under the
     /// *writer* lock (e.g. invariant checks in tests, cache introspection
     /// in tools). Cache-hit readers keep serving from the published
@@ -797,6 +773,26 @@ mod tests {
             s.with_scr(&name, |scr| assert!(scr.cache().check_invariants().is_ok()))
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn guarantee_holds_under_global_pressure() {
+        let t = single_rel_template("q_orders", "orders", "o_totalprice", "o_orderdate");
+        let s = PqoService::with_global_budget(2).unwrap();
+        s.register(Arc::clone(&t), ScrConfig::new(2.0).unwrap())
+            .unwrap();
+        let engine = QueryEngine::new(Arc::clone(&t));
+        for i in 0..8 {
+            for j in 0..8 {
+                let q = inst_at(&t, &[0.02 + 0.12 * i as f64, 0.02 + 0.12 * j as f64]);
+                let choice = s.get_plan("q_orders", &q).unwrap();
+                let sv = pqo_optimizer::svector::compute_svector(&t, &q);
+                let opt = engine.optimize_untracked(&sv);
+                let so = engine.recost_untracked(&choice.plan, &sv) / opt.cost;
+                assert!(so <= 2.0 * 1.001, "eviction broke the bound: {so}");
+            }
+        }
+        assert!(s.total_plans() <= 2);
     }
 
     #[test]

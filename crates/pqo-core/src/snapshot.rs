@@ -43,8 +43,8 @@
 //!
 //! # Decision equivalence
 //!
-//! [`CacheSnapshot::try_cached_plan`] executes the *same* [`ReadView`] code
-//! as [`Scr::try_cached_plan`] over a structurally identical cache, so the
+//! [`CacheSnapshot::try_cached_plan_with`] executes the *same* [`ReadView`]
+//! code as [`Scr::try_cached_plan`] over a structurally identical cache, so the
 //! snapshot reader's reuse/optimize decisions are byte-identical to the
 //! sequential technique's for any given cache state.
 //!
@@ -129,18 +129,11 @@ impl CacheSnapshot {
     /// The cache-only part of `getPlan` against this generation:
     /// selectivity check, then cost check — no lock, no cache mutation, no
     /// optimizer call. Runs the identical code path as
-    /// [`Scr::try_cached_plan`]. Allocates a fresh scratch per call; hot
-    /// callers should prefer [`CacheSnapshot::try_cached_plan_with`].
-    pub fn try_cached_plan(&self, sv: &SVector, engine: &QueryEngine) -> Option<PlanChoice> {
-        self.view()
-            .try_cached_plan(sv, engine, &mut GetPlanScratch::default())
-    }
-
-    /// [`CacheSnapshot::try_cached_plan`] with a caller-owned
-    /// [`GetPlanScratch`]: the cost check's memo table and recost base
-    /// derivation survive across calls (and across snapshot generations —
-    /// the scratch depends only on the template and cost model, not the
-    /// cache contents), so the hit path allocates nothing.
+    /// [`Scr::try_cached_plan`]. The caller-owned [`GetPlanScratch`] keeps
+    /// the cost check's memo table and recost base derivation across calls
+    /// (and across snapshot generations — the scratch depends only on the
+    /// template and cost model, not the cache contents), so the hit path
+    /// allocates nothing.
     pub fn try_cached_plan_with(
         &self,
         sv: &SVector,
@@ -389,7 +382,7 @@ mod tests {
             };
 
             let snap = cell.load();
-            let b = match snap.try_cached_plan(&sv, &engine_b) {
+            let b = match snap.try_cached_plan_with(&sv, &engine_b, &mut GetPlanScratch::new()) {
                 Some(c) => c,
                 None => {
                     let opt = engine_b.optimize(&sv);
@@ -428,12 +421,14 @@ mod tests {
         cfg.lambda_r = 0.0;
         let (mut writer, first) = CacheWriter::new(Scr::with_config(cfg).unwrap());
         let cell = SnapshotCell::new(first);
+        let mut scratch = GetPlanScratch::new();
         let mut generations = vec![cell.load()];
         for i in 1..=12 {
             let target = [0.08 * i as f64, 0.08 * i as f64];
             let inst = instance_for_target(&t, &target);
             let sv = compute_svector(&t, &inst);
-            if cell.load().try_cached_plan(&sv, &engine).is_none() {
+            let hit = cell.load().try_cached_plan_with(&sv, &engine, &mut scratch);
+            if hit.is_none() {
                 let opt = engine.optimize(&sv);
                 writer.manage_cache_entry(&sv, opt, &engine, &cell);
             }
@@ -468,6 +463,7 @@ mod tests {
         cfg.lambda_r = 0.0;
         let (mut writer, first) = CacheWriter::new(Scr::with_config(cfg).unwrap());
         let cell = SnapshotCell::new(first);
+        let mut scratch = GetPlanScratch::new();
         // Seed enough instances that several shards hold points.
         for i in 0..60 {
             let target = [
@@ -476,7 +472,8 @@ mod tests {
             ];
             let inst = instance_for_target(&t, &target);
             let sv = compute_svector(&t, &inst);
-            if cell.load().try_cached_plan(&sv, &engine).is_none() {
+            let hit = cell.load().try_cached_plan_with(&sv, &engine, &mut scratch);
+            if hit.is_none() {
                 let opt = engine.optimize(&sv);
                 writer.manage_cache_entry(&sv, opt, &engine, &cell);
             }
@@ -545,7 +542,8 @@ mod tests {
         // Serve through the *old* generation: the usage bump must be
         // visible to the writer's canonical state (shared entry identity).
         let before: u64 = writer.scr().cache().instances()[0].usage();
-        assert!(old.try_cached_plan(&sv, &engine).is_some());
+        let hit = old.try_cached_plan_with(&sv, &engine, &mut GetPlanScratch::new());
+        assert!(hit.is_some());
         let after: u64 = writer.scr().cache().instances()[0].usage();
         assert_eq!(after, before + 1, "usage bump lost across generations");
     }

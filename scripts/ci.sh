@@ -295,6 +295,14 @@ grep -q "SELECT" "$sf_tmp/explain.txt" \
 ./target/release/pqo client --connect "$addr" --op shutdown
 wait "$sf_pid"
 
+echo "==> perfbench smoke (end-to-end benchmark builds and matches its oracle)"
+# perfbench/ is a cargo workspace of its own, so the stages above never
+# compile it: a pqo-core API change could break the benchmark, or change
+# its decision streams, without this stage. The smoke run drives every
+# workload through real servers and checks each decision against the
+# in-process oracle plus the metric names/units in BENCHMARK.json.
+bash perfbench/run.sh --smoke
+
 if [ -n "${PQO_BENCH_GATE:-}" ]; then
     echo "==> bench regression gate"
     scripts/bench_gate.sh
